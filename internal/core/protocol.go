@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/medium"
@@ -146,12 +147,6 @@ func (c Config) Normalize(n int) Config {
 
 // Neighbor is one row of a node's neighbour table, refreshed by beacons.
 type Neighbor struct {
-	// used marks the row live; the table stores rows by value (indexed
-	// by node id) and reuses slots instead of allocating per neighbour.
-	used bool
-	// lix is the row's position in the live-id list (swap-removed on
-	// expiry).
-	lix        int32
 	ID         packet.NodeID
 	Last       float64 // time of last beacon
 	Dist       float64 // measured link distance at last beacon
@@ -211,12 +206,13 @@ type Protocol struct {
 	switchStreak  int
 	lastSwitch    float64
 
-	// nbrs is the neighbour table, indexed by node id (the id space is
-	// the network size, so a dense value slice beats a map: no hashing on
-	// the per-beacon update path and deterministic iteration order).
-	// nbrIDs lists the live rows so every scan is O(degree), not O(N) —
-	// the difference between a node's neighbourhood and the whole
-	// network once scenarios grow past a few hundred nodes.
+	// nbrs is the neighbour table, one row per live neighbour in
+	// insertion order, and nbrIDs[i] is nbrs[i].ID. Its size is the
+	// node's degree, not the network size: a beacon finds its row by
+	// scanning nbrIDs (a couple of cache lines at the paper's density),
+	// and expiry swap-removes a row together with its id, zeroing the
+	// vacated tail slot so spare capacity pins no beacon slices. The
+	// iteration order is deterministic and the same in every scan.
 	nbrs   []Neighbor
 	nbrIDs []packet.NodeID
 	// childCache memoizes deriveChildren between neighbour-table
@@ -273,10 +269,10 @@ func New(cfg Config, n int) *Protocol {
 }
 
 // Reset re-initializes the instance in place for a new run over an n-node
-// network, exactly as New would, while keeping grown storage: neighbour
-// rows (with their per-row slice capacity), the dedup maps' buckets and
-// the frame pools all survive, so a reused instance reaches transmit
-// steady state without allocating. The caller re-attaches it with Start.
+// network, exactly as New would, while keeping grown storage: the
+// neighbour table's capacity, the dedup sets and the frame pools all
+// survive, so a reused instance reaches transmit steady state without
+// allocating. The caller re-attaches it with Start.
 func (p *Protocol) Reset(cfg Config, n int) {
 	cfgN := cfg
 	if cfgN.Hysteresis == 0 {
@@ -292,14 +288,10 @@ func (p *Protocol) Reset(cfg Config, n int) {
 	p.rootPath = p.rootPath[:0]
 	p.prevParent, p.graceUntil = 0, 0
 	p.cooldownUntil, p.switchStreak, p.lastSwitch = 0, 0, 0
-	if cap(p.nbrs) < n {
-		p.nbrs = make([]Neighbor, n)
-	} else {
-		p.nbrs = p.nbrs[:n]
-		for i := range p.nbrs {
-			p.nbrs[i] = Neighbor{}
-		}
-	}
+	// Only the live rows can hold beacon slices: dropNbr zeroes every
+	// slot it vacates.
+	clear(p.nbrs)
+	p.nbrs = p.nbrs[:0]
 	p.nbrIDs = p.nbrIDs[:0]
 	p.childCache, p.childCacheOK = childState{}, false
 	p.seenApp.Reset()
@@ -390,8 +382,8 @@ func (p *Protocol) maybeRetry() {
 // the protocol's fault detection (node moved away or died).
 func (p *Protocol) expire() {
 	now := p.node.Now()
-	for i := 0; i < len(p.nbrIDs); {
-		e := &p.nbrs[p.nbrIDs[i]]
+	for i := 0; i < len(p.nbrs); {
+		e := &p.nbrs[i]
 		if now-e.Last <= p.cfg.NeighborTTL {
 			i++
 			continue
@@ -399,7 +391,7 @@ func (p *Protocol) expire() {
 		if e.Parent == p.node.ID && e.Downstream {
 			p.childCacheOK = false
 		}
-		p.dropNbr(e)
+		p.dropNbr(i)
 		// The swap-removed tail entry now sits at i; revisit it.
 	}
 }
@@ -420,8 +412,8 @@ func (p *Protocol) deriveChildren() childState {
 		return p.childCache
 	}
 	var cs childState
-	for _, id := range p.nbrIDs {
-		e := &p.nbrs[id]
+	for i := range p.nbrs {
+		e := &p.nbrs[i]
 		if e.Parent != p.node.ID || !e.Downstream {
 			continue
 		}
@@ -443,8 +435,8 @@ func (p *Protocol) deriveChildren() childState {
 // appendNbrDists appends this node's sorted neighbour distance vector to
 // dst (usually a reused buffer) and returns the extended slice.
 func (p *Protocol) appendNbrDists(dst []float64) []float64 {
-	for _, id := range p.nbrIDs {
-		dst = append(dst, p.nbrs[id].Dist)
+	for i := range p.nbrs {
+		dst = append(dst, p.nbrs[i].Dist)
 	}
 	sort.Float64s(dst)
 	return dst
@@ -480,13 +472,13 @@ func (p *Protocol) stabilize() {
 	}
 
 	const eps = 1e-12
-	var best *Neighbor
+	var best, cur *Neighbor
 	bestCand := math.Inf(1)
 	bestDelta := math.Inf(1)
 	curCand := math.Inf(1)
 	curDelta := math.Inf(1)
-	for _, id := range p.nbrIDs {
-		e := &p.nbrs[id]
+	for i := range p.nbrs {
+		e := &p.nbrs[i]
 		// N1: only neighbours strictly below the hop cap are eligible —
 		// the count-to-infinity guard (paper Lemma 3).
 		if e.Hop+1 >= p.cfg.MaxHops {
@@ -543,6 +535,7 @@ func (p *Protocol) stabilize() {
 			continue
 		}
 		if isMyParent {
+			cur = e
 			curCand = cand
 			curDelta = delta
 		}
@@ -601,7 +594,7 @@ func (p *Protocol) stabilize() {
 			}
 		}
 		if keep {
-			best = p.nbr(p.parent)
+			best = cur
 			bestCand = curCand
 		}
 	}
@@ -732,21 +725,14 @@ func (p *Protocol) Receive(pkt *packet.Packet, info medium.RxInfo) {
 
 func (p *Protocol) handleBeacon(pkt *packet.Packet, info medium.RxInfo) {
 	bp := pkt.Payload.(*BeaconPayload)
-	if int(pkt.From) >= len(p.nbrs) {
-		// Mixed-protocol tests can deliver frames from ids beyond the
-		// configured network size; grow to fit.
-		grown := make([]Neighbor, int(pkt.From)+1)
-		copy(grown, p.nbrs)
-		p.nbrs = grown
-	}
-	e := &p.nbrs[pkt.From]
-	ok := e.used
+	i := slices.Index(p.nbrIDs, pkt.From)
+	ok := i >= 0
 	if !ok {
-		e.used = true
-		e.ID = pkt.From
-		e.lix = int32(len(p.nbrIDs))
+		i = len(p.nbrs)
+		p.nbrs = append(p.nbrs, Neighbor{ID: pkt.From})
 		p.nbrIDs = append(p.nbrIDs, pkt.From)
 	}
+	e := &p.nbrs[i]
 	// Only beacons that touch a child relationship (the sender was or
 	// becomes a downstream child of this node) can change the child
 	// aggregate; the overwhelming majority of beacons are from
@@ -941,31 +927,13 @@ func (p *Protocol) Downstream() bool { return p.downstream }
 // NeighborCount returns the current neighbour-table size.
 func (p *Protocol) NeighborCount() int { return len(p.nbrIDs) }
 
-// dropNbr removes e from the table and the live-id list (swap-remove).
-func (p *Protocol) dropNbr(e *Neighbor) {
-	last := len(p.nbrIDs) - 1
-	moved := p.nbrIDs[last]
-	p.nbrIDs[e.lix] = moved
-	p.nbrs[moved].lix = e.lix
+// dropNbr swap-removes row i and its id, and zeroes the vacated tail
+// slot so it keeps no NbrDists/RootPath alive.
+func (p *Protocol) dropNbr(i int) {
+	last := len(p.nbrs) - 1
+	p.nbrs[i] = p.nbrs[last]
+	p.nbrIDs[i] = p.nbrIDs[last]
+	p.nbrs[last] = Neighbor{}
+	p.nbrs = p.nbrs[:last]
 	p.nbrIDs = p.nbrIDs[:last]
-	*e = Neighbor{}
-}
-
-// nbr returns the table entry for id, nil when absent or out of range.
-func (p *Protocol) nbr(id packet.NodeID) *Neighbor {
-	if int(id) >= len(p.nbrs) || int(id) < 0 || !p.nbrs[id].used {
-		return nil
-	}
-	return &p.nbrs[id]
-}
-
-func dataKey(src packet.NodeID, seq uint32) uint64 {
-	return uint64(uint32(src))<<32 | uint64(seq)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
