@@ -58,21 +58,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"syscall"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/fsio"
-	"repro/internal/runerr"
 	"repro/internal/scenario"
 	"repro/internal/shard"
 )
@@ -83,40 +75,14 @@ func main() {
 	seeds := flag.Int("seeds", 0, "seeds averaged per point (overrides -quick)")
 	figs := flag.String("fig", "", "comma-separated figure numbers (default: all)")
 	mob := flag.String("mobility", "", "comma-separated mobility models for the cross-mobility table 17 (default: rwp,gauss-markov,rpgm,manhattan)")
-	workers := flag.Int("workers", 0, "sweep engine width (default: GOMAXPROCS)")
-	shardSpec := flag.String("shard", "", "run slice k/n of the job grid and write an artifact instead of tables (merge with mergefigs)")
-	out := flag.String("out", "", "artifact path for -shard (default figures-shard-K-of-N.json)")
-	journalPath := flag.String("journal", "", "checkpoint journal: record every completed replication crash-safely")
-	resume := flag.Bool("resume", false, "skip replications already recorded in -journal")
-	retries := flag.Int("retries", 1, "re-runs of a failed replication before recording the failure (0 = none)")
-	deadline := flag.Float64("deadline", 0, "wall-clock seconds per replication before it fails typed (0 = unlimited)")
-	check := flag.String("check", "cheap", "end-of-run invariant tier: cheap, full or off")
-	chaosFS := flag.String("chaos-fs", "", "inject seed-scheduled I/O faults under journal/artifact writers, as \"seed,rate\" (test hook)")
+	var bf shard.Flags
+	bf.Register(flag.CommandLine, "figures", "tables")
 	flag.Parse()
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(2)
 	}
-
-	checkTier, err := scenario.ParseCheckTier(*check)
-	if err != nil {
-		fail(err)
-	}
-	var fsys fsio.FS = fsio.OS
-	if *chaosFS != "" {
-		seed, rate, err := fsio.ParseSpec(*chaosFS)
-		if err != nil {
-			fail(err)
-		}
-		fsys = fsio.NewFaultFS(fsio.OS, seed, rate)
-	}
-
-	if *workers > 0 {
-		scenario.ConfigureDefaultEngine(*workers)
-	}
-	engine := scenario.DefaultEngine()
-	engine.SetRetryPolicy(*retries, 100*time.Millisecond)
 
 	opts := experiments.Full()
 	if *quick {
@@ -148,7 +114,7 @@ func main() {
 		want = nil
 		for _, s := range strings.Split(*figs, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 7 || n > 21 {
+			if err != nil {
 				fail(fmt.Errorf("unknown figure %q (valid: 7-21)", s))
 			}
 			want = append(want, n)
@@ -166,143 +132,14 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cfgs := plan.Jobs()
-	gridFP := plan.GridFingerprint()
-	// Execution-control knobs are excluded from config fingerprints, so
-	// applying them after the grid is built cannot move gridFP: journals
-	// and artifacts stay resumable across watchdog settings.
-	for i := range cfgs {
-		cfgs[i].Deadline = *deadline
-		cfgs[i].Check = checkTier
+	b := shard.Batch{Kind: "figures", Cfgs: plan.Jobs(), Meta: ps}
+	results, err := b.Run(bf)
+	if err != nil {
+		fail(err)
 	}
-
-	sel := make([]int, len(cfgs))
-	for i := range sel {
-		sel[i] = i
+	if bf.Shard != "" {
+		return // the shard artifact is the output
 	}
-	shardK, shardN := 1, 1
-	if *shardSpec != "" {
-		shardK, shardN, err = shard.ParseSpec(*shardSpec)
-		if err != nil {
-			fail(err)
-		}
-		sel = shard.Partition(plan.Costs(), shardK, shardN)
-		if *out == "" {
-			*out = fmt.Sprintf("figures-shard-%d-of-%d.json", shardK, shardN)
-		}
-	}
-
-	var journal *shard.Journal
-	if *journalPath != "" {
-		var skipped int
-		journal, skipped, err = shard.OpenJournalFS(fsys, *journalPath, "figures", gridFP)
-		if err != nil {
-			fail(err)
-		}
-		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "figures: journal: %d corrupt record(s) skipped; their jobs will re-run\n", skipped)
-		}
-	}
-	if *resume && journal == nil {
-		fail(fmt.Errorf("-resume needs -journal"))
-	}
-
-	var mu sync.Mutex
-	results := make([]scenario.Result, len(cfgs))
-
-	// Resume: preset every journaled success; failures re-run (transient
-	// faults may pass; deterministic ones re-fail identically, so the
-	// final tables come out byte-identical either way).
-	var todo []int
-	resumed := 0
-	for _, gi := range sel {
-		if *resume {
-			if rec, ok := journal.Lookup(cfgs[gi].Fingerprint()); ok && rec.Err == "" {
-				results[gi] = rec.Result(cfgs[gi])
-				resumed++
-				continue
-			}
-		}
-		todo = append(todo, gi)
-	}
-	if resumed > 0 {
-		fmt.Fprintf(os.Stderr, "figures: resume: %d of %d replications already journaled, %d to run\n",
-			resumed, len(sel), len(todo))
-	}
-
-	// SIGINT/SIGTERM: flush the journal, then exit non-zero. Tables and
-	// artifacts are whole-batch outputs — a partial one must not exist.
-	// A second signal force-exits immediately: an operator hammering ^C
-	// must not be held hostage by a wedged flush.
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		sig := <-sigc
-		go func() {
-			<-sigc
-			fmt.Fprintln(os.Stderr, "\nfigures: second signal, exiting immediately")
-			os.Exit(130)
-		}()
-		mu.Lock()
-		defer mu.Unlock()
-		if journal != nil {
-			if err := journal.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "\nfigures: %v: journal has %d record(s); re-run with -resume to continue\n",
-			sig, journalLen(journal))
-		os.Exit(1)
-	}()
-
-	run := make([]scenario.Config, len(todo))
-	for i, gi := range todo {
-		run[i] = cfgs[gi]
-	}
-	start := time.Now()
-	completed, lastPct := 0, -1
-	engine.SweepFunc(run, func(i int, res scenario.Result) {
-		gi := todo[i]
-		mu.Lock()
-		results[gi] = res
-		mu.Unlock()
-		if journal != nil {
-			if err := journal.Append(shard.RecordOf(gi, res, false)); err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-			}
-		}
-		completed++
-		if pct := completed * 100 / len(run); pct != lastPct {
-			lastPct = pct
-			fmt.Fprintf(os.Stderr, "\rfigures: %d/%d runs (%d%%)", completed, len(run), pct)
-			if completed == len(run) {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	})
-	signal.Stop(sigc)
-	reportFailures("figures", results, sel)
-
-	if *shardSpec != "" {
-		meta, err := json.Marshal(ps)
-		if err != nil {
-			fail(err)
-		}
-		art := &shard.Artifact{
-			Kind: "figures", Shard: shardK, Shards: shardN,
-			TotalJobs: len(cfgs), GridFP: gridFP, Meta: meta,
-		}
-		for _, gi := range sel {
-			art.Jobs = append(art.Jobs, shard.RecordOf(gi, results[gi], false))
-		}
-		if err := shard.WriteArtifactFS(fsys, *out, art); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "figures: shard %d/%d: %d job(s) -> %s (grid %s)\n",
-			shardK, shardN, len(sel), *out, gridFP)
-		return
-	}
-
 	tables, err := plan.Tables(results)
 	if err != nil {
 		fail(err)
@@ -310,41 +147,4 @@ func main() {
 	for _, tbl := range tables {
 		fmt.Println(tbl.Format())
 	}
-	hits, misses := engine.TraceStats()
-	fmt.Fprintf(os.Stderr, "generated %d table(s) in %.1fs on %d worker(s); trace cache: %d replays / %d recordings\n",
-		len(tables), time.Since(start).Seconds(), engine.Workers(), hits, misses)
-}
-
-func journalLen(j *shard.Journal) int {
-	if j == nil {
-		return 0
-	}
-	return j.Len()
-}
-
-// reportFailures prints a one-line failure census by taxonomy kind —
-// "panic=2 deadline=1" — so a long sweep log answers "what broke" at a
-// glance. Silent when everything passed.
-func reportFailures(tool string, results []scenario.Result, sel []int) {
-	counts := map[string]int{}
-	total := 0
-	for _, gi := range sel {
-		if err := results[gi].Err; err != nil {
-			counts[runerr.Kind(err)]++
-			total++
-		}
-	}
-	if total == 0 {
-		return
-	}
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	parts := make([]string, len(kinds))
-	for i, k := range kinds {
-		parts[i] = fmt.Sprintf("%s=%d", k, counts[k])
-	}
-	fmt.Fprintf(os.Stderr, "%s: %d failed replication(s) by kind: %s\n", tool, total, strings.Join(parts, " "))
 }

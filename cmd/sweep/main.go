@@ -47,19 +47,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"sort"
-	"strings"
-	"sync"
-	"syscall"
-	"time"
 
-	"repro/internal/fsio"
-	"repro/internal/runerr"
 	"repro/internal/scenario"
 	"repro/internal/shard"
 	"repro/internal/sweepgrid"
@@ -81,15 +72,8 @@ func main() {
 	flag.IntVar(&a.Seeds, "seeds", 2, "seeds per point")
 	flag.Float64Var(&a.Duration, "duration", 180, "simulated seconds per run")
 	flag.BoolVar(&a.Raw, "raw", false, "emit one row per seed instead of mean ± CI95 per point")
-	workers := flag.Int("workers", 0, "sweep engine width (default: GOMAXPROCS)")
-	shardSpec := flag.String("shard", "", "run slice k/n of the job grid and write an artifact instead of CSV (merge with mergefigs)")
-	out := flag.String("out", "", "artifact path for -shard (default sweep-shard-K-of-N.json)")
-	journalPath := flag.String("journal", "", "checkpoint journal: record every completed replication crash-safely")
-	resume := flag.Bool("resume", false, "skip replications already recorded in -journal")
-	retries := flag.Int("retries", 1, "re-runs of a failed replication before recording the failure (0 = none)")
-	deadline := flag.Float64("deadline", 0, "wall-clock seconds per replication before it fails typed (0 = unlimited)")
-	check := flag.String("check", "cheap", "end-of-run invariant tier: cheap, full or off")
-	chaosFS := flag.String("chaos-fs", "", "inject seed-scheduled I/O faults under journal/artifact writers, as \"seed,rate\" (test hook)")
+	var bf shard.Flags
+	bf.Register(flag.CommandLine, "sweep", "CSV")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -97,221 +81,24 @@ func main() {
 		os.Exit(2)
 	}
 
-	checkTier, err := scenario.ParseCheckTier(*check)
-	if err != nil {
-		fail(err)
-	}
-	var fsys fsio.FS = fsio.OS
-	if *chaosFS != "" {
-		seed, rate, err := fsio.ParseSpec(*chaosFS)
-		if err != nil {
-			fail(err)
-		}
-		fsys = fsio.NewFaultFS(fsio.OS, seed, rate)
-	}
-
-	if *workers > 0 {
-		scenario.ConfigureDefaultEngine(*workers)
-	}
-	engine := scenario.DefaultEngine()
-	engine.SetRetryPolicy(*retries, 100*time.Millisecond)
-
 	points, cfgs, err := sweepgrid.Build(a)
 	if err != nil {
 		fail(err)
 	}
-	gridFP := shard.GridFingerprint("sweep", a, cfgs)
-	// Execution-control knobs are excluded from config fingerprints, so
-	// applying them after the grid is built cannot move gridFP: journals
-	// and artifacts stay resumable across watchdog settings.
-	for i := range cfgs {
-		cfgs[i].Deadline = *deadline
-		cfgs[i].Check = checkTier
+	b := shard.Batch{
+		Kind: "sweep", Cfgs: cfgs, Meta: a, WithGroups: true,
+		Partial: func(results []scenario.Result, done []bool) (int, error) {
+			return sweepgrid.WriteCompletedCSV(os.Stdout, a, points, results, done)
+		},
 	}
-
-	// sel is the global job-index slice this process owns: the whole grid,
-	// or its deterministic cost-balanced shard.
-	sel := make([]int, len(cfgs))
-	for i := range sel {
-		sel[i] = i
+	results, err := b.Run(bf)
+	if err != nil {
+		fail(err)
 	}
-	shardK, shardN := 1, 1
-	if *shardSpec != "" {
-		shardK, shardN, err = shard.ParseSpec(*shardSpec)
-		if err != nil {
-			fail(err)
-		}
-		costs := make([]float64, len(cfgs))
-		for i, cfg := range cfgs {
-			costs[i] = float64(cfg.N) * cfg.Duration
-		}
-		sel = shard.Partition(costs, shardK, shardN)
-		if *out == "" {
-			*out = fmt.Sprintf("sweep-shard-%d-of-%d.json", shardK, shardN)
-		}
-	}
-
-	var journal *shard.Journal
-	if *journalPath != "" {
-		var skipped int
-		journal, skipped, err = shard.OpenJournalFS(fsys, *journalPath, "sweep", gridFP)
-		if err != nil {
-			fail(err)
-		}
-		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: journal: %d corrupt record(s) skipped; their jobs will re-run\n", skipped)
-		}
-	}
-	if *resume && journal == nil {
-		fail(fmt.Errorf("-resume needs -journal"))
-	}
-
-	// results/done are shared with the signal handler; mu guards them.
-	var mu sync.Mutex
-	results := make([]scenario.Result, len(cfgs))
-	done := make([]bool, len(cfgs))
-
-	// Resume: preset every journaled success; failures re-run (a transient
-	// fault may pass this time — a deterministic one re-fails identically,
-	// keeping the final output byte-identical either way).
-	var todo []int
-	resumed := 0
-	for _, gi := range sel {
-		if *resume {
-			if rec, ok := journal.Lookup(cfgs[gi].Fingerprint()); ok && rec.Err == "" {
-				results[gi] = rec.Result(cfgs[gi])
-				done[gi] = true
-				resumed++
-				continue
-			}
-		}
-		todo = append(todo, gi)
-	}
-	if resumed > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: resume: %d of %d replications already journaled, %d to run\n",
-			resumed, len(sel), len(todo))
-	}
-
-	// SIGINT/SIGTERM: flush the journal and the CSV rows of every
-	// fully-completed point, then exit non-zero. The artifact is not
-	// written — a partial shard must not look mergeable.
-	// A second signal force-exits immediately: an operator hammering ^C
-	// must not be held hostage by a wedged flush.
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		sig := <-sigc
-		go func() {
-			<-sigc
-			fmt.Fprintln(os.Stderr, "\nsweep: second signal, exiting immediately")
-			os.Exit(130)
-		}()
-		mu.Lock()
-		defer mu.Unlock()
-		if journal != nil {
-			if err := journal.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-			}
-		}
-		if *shardSpec == "" {
-			n, err := sweepgrid.WriteCompletedCSV(os.Stdout, a, points, results, done)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-			}
-			fmt.Fprintf(os.Stderr, "\nsweep: %v: flushed %d completed point(s); journal has %d record(s)\n",
-				sig, n, journalLen(journal))
-		} else {
-			fmt.Fprintf(os.Stderr, "\nsweep: %v: journal has %d record(s); artifact not written (re-run with -resume)\n",
-				sig, journalLen(journal))
-		}
-		os.Exit(1)
-	}()
-
-	run := make([]scenario.Config, len(todo))
-	for i, gi := range todo {
-		run[i] = cfgs[gi]
-	}
-	completed, lastPct := 0, -1
-	engine.SweepFunc(run, func(i int, res scenario.Result) {
-		gi := todo[i]
-		mu.Lock()
-		results[gi] = res
-		done[gi] = true
-		mu.Unlock()
-		if journal != nil {
-			if err := journal.Append(shard.RecordOf(gi, res, true)); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-			}
-		}
-		completed++
-		if pct := completed * 100 / len(run); pct != lastPct {
-			lastPct = pct
-			fmt.Fprintf(os.Stderr, "\rsweep: %d/%d runs (%d%%)", completed, len(run), pct)
-			if completed == len(run) {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	})
-	signal.Stop(sigc)
-	reportFailures("sweep", results, sel)
-	hits, misses := engine.TraceStats()
-	fmt.Fprintf(os.Stderr, "%d runs on %d worker(s); trace cache: %d replays / %d recordings\n",
-		len(run), engine.Workers(), hits, misses)
-
-	if *shardSpec != "" {
-		meta, err := json.Marshal(a)
-		if err != nil {
-			fail(err)
-		}
-		art := &shard.Artifact{
-			Kind: "sweep", Shard: shardK, Shards: shardN,
-			TotalJobs: len(cfgs), GridFP: gridFP, Meta: meta,
-		}
-		for _, gi := range sel {
-			art.Jobs = append(art.Jobs, shard.RecordOf(gi, results[gi], true))
-		}
-		if err := shard.WriteArtifactFS(fsys, *out, art); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "sweep: shard %d/%d: %d job(s) -> %s (grid %s)\n",
-			shardK, shardN, len(sel), *out, gridFP)
-		return
+	if bf.Shard != "" {
+		return // the shard artifact is the output
 	}
 	if err := sweepgrid.WriteCSV(os.Stdout, a, points, results); err != nil {
 		fail(err)
 	}
-}
-
-func journalLen(j *shard.Journal) int {
-	if j == nil {
-		return 0
-	}
-	return j.Len()
-}
-
-// reportFailures prints a one-line failure census by taxonomy kind —
-// "panic=2 deadline=1" — so a long sweep log answers "what broke" at a
-// glance. Silent when everything passed.
-func reportFailures(tool string, results []scenario.Result, sel []int) {
-	counts := map[string]int{}
-	total := 0
-	for _, gi := range sel {
-		if err := results[gi].Err; err != nil {
-			counts[runerr.Kind(err)]++
-			total++
-		}
-	}
-	if total == 0 {
-		return
-	}
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	parts := make([]string, len(kinds))
-	for i, k := range kinds {
-		parts[i] = fmt.Sprintf("%s=%d", k, counts[k])
-	}
-	fmt.Fprintf(os.Stderr, "%s: %d failed replication(s) by kind: %s\n", tool, total, strings.Join(parts, " "))
 }

@@ -109,16 +109,6 @@ func (p *Plan) NumJobs() int { return len(p.cfgs) }
 // callers must not mutate it.
 func (p *Plan) Jobs() []scenario.Config { return p.cfgs }
 
-// Costs returns each job's expected cost (the engine's N·Duration LPT
-// metric), indexed like Jobs. shard.Partition balances shards on it.
-func (p *Plan) Costs() []float64 {
-	costs := make([]float64, len(p.cfgs))
-	for i, cfg := range p.cfgs {
-		costs[i] = float64(cfg.N) * cfg.Duration
-	}
-	return costs
-}
-
 // GridFingerprint digests the plan's identity and every job config; it
 // is what artifacts and journals produced from this plan carry, and what
 // merge/resume verify before trusting any record.

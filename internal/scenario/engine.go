@@ -19,11 +19,11 @@ import (
 // worker) multiplied goroutines by GOMAXPROCS and rebuilt every arena per
 // figure.
 //
-// Scheduling is longest-expected-job-first with N·Duration as the cost
-// estimate, which keeps the tail of a batch short (a small job never
-// straggles behind the batch's one giant run), with submission order
-// breaking ties so the runs sharing a mobility trace stay adjacent and
-// the cache's live footprint stays small.
+// Scheduling is longest-expected-job-first with Config.Cost (N·Duration)
+// as the cost estimate, which keeps the tail of a batch short (a small
+// job never straggles behind the batch's one giant run), with submission
+// order breaking ties so the runs sharing a mobility trace stay adjacent
+// and the cache's live footprint stays small.
 //
 // Every Sweep call participates in its own batch: the submitting
 // goroutine drains jobs alongside the background workers, so an engine
@@ -156,9 +156,8 @@ func (e *Engine) sweep(cfgs []Config, fn func(int, Result)) []Result {
 		}
 	}
 	for i := range cfgs {
-		j := &job{cfg: cfgs[i], batch: b, index: i, seq: e.seq}
+		j := &job{cfg: cfgs[i], cost: cfgs[i].Cost(), batch: b, index: i, seq: e.seq}
 		e.seq++
-		j.cost = float64(j.cfg.N) * j.cfg.Duration
 		if key, ok := traceKeyOf(j.cfg); ok {
 			j.key, j.hasKey = key, true
 			e.cache.register(key)

@@ -310,6 +310,11 @@ type Result struct {
 	Err      error
 }
 
+// Cost is the expected cost of running cfg, N·Duration in node-seconds.
+// The engine's longest-job-first queue and shard.Partition both rank jobs
+// by it.
+func (cfg Config) Cost() float64 { return float64(cfg.N) * cfg.Duration }
+
 // Validate reports the first nonsensical setting in cfg, or nil. Run
 // calls it and panics on a broken config with the validation message —
 // far clearer than the index-out-of-range it would otherwise hit deep in

@@ -3,7 +3,8 @@
 // across processes, versioned raw-counter artifacts with integrity
 // checks (one per shard, merged by cmd/mergefigs), and a crash-safe
 // checkpoint journal that makes a SIGKILLed sweep resumable at the
-// granularity of one replication.
+// granularity of one replication. Batch drives all three: it is the one
+// runner cmd/figures and cmd/sweep execute their job grids through.
 //
 // Everything in the package is keyed by config fingerprints
 // (scenario.Config.Fingerprint — seed included) and a grid fingerprint
