@@ -254,10 +254,6 @@ type Protocol struct {
 	// ParentChanges counts parent switches, a stability diagnostic the
 	// instability analysis of SS-SPST-F relies on.
 	ParentChanges int
-
-	// TraceSwitch, when non-nil, observes every voluntary parent switch
-	// with the decision's numbers (debugging hook; nil in production).
-	TraceSwitch func(from, to packet.NodeID, curCand, curDelta, bestCand, bestDelta float64)
 }
 
 // New creates a protocol instance with the given (possibly zero-default)
@@ -302,7 +298,6 @@ func (p *Protocol) Reset(cfg Config, n int) {
 	p.retryTimer = nil
 	p.retryCount = 0
 	p.ParentChanges = 0
-	p.TraceSwitch = nil
 }
 
 // Config returns the normalized configuration in force.
@@ -474,9 +469,7 @@ func (p *Protocol) stabilize() {
 	const eps = 1e-12
 	var best, cur *Neighbor
 	bestCand := math.Inf(1)
-	bestDelta := math.Inf(1)
 	curCand := math.Inf(1)
-	curDelta := math.Inf(1)
 	for i := range p.nbrs {
 		e := &p.nbrs[i]
 		// N1: only neighbours strictly below the hop cap are eligible —
@@ -537,7 +530,6 @@ func (p *Protocol) stabilize() {
 		if isMyParent {
 			cur = e
 			curCand = cand
-			curDelta = delta
 		}
 		// N2 selection with deterministic tie-breaks: cost, then hop,
 		// then id.
@@ -546,7 +538,6 @@ func (p *Protocol) stabilize() {
 				(e.Hop < best.Hop || (e.Hop == best.Hop && e.ID < best.ID))) {
 			best = e
 			bestCand = cand
-			bestDelta = delta
 		}
 	}
 
@@ -601,9 +592,6 @@ func (p *Protocol) stabilize() {
 
 	if !p.hasParent || p.parent != best.ID {
 		p.ParentChanges++
-		if p.TraceSwitch != nil && p.hasParent {
-			p.TraceSwitch(p.parent, best.ID, curCand, curDelta, bestCand, bestDelta)
-		}
 		if p.hasParent {
 			now := p.node.Now()
 			if p.cfg.MakeBeforeBreak {

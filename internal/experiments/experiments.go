@@ -85,10 +85,6 @@ type Options struct {
 	Duration float64 // simulated seconds per run
 	Seeds    int     // runs averaged per point
 	BaseSeed uint64
-	// Progress, when set, is called after every completed run (serialized)
-	// with the batch-wide completion count; cmd/figures and cmd/sweep hang
-	// their progress meters on it.
-	Progress func(done, total int)
 }
 
 // Full mirrors the paper's setup.
@@ -644,15 +640,7 @@ func Generate(o Options, figs []int, kinds []scenario.MobilityKind) ([]Table, er
 // artifacts all format byte-identically.
 func generateSpecs(o Options, specs []*figSpec) ([]Table, error) {
 	cfgs, keys := flatten(o, specs)
-	results := make([]scenario.Result, len(cfgs))
-	done := 0
-	scenario.DefaultEngine().SweepFunc(cfgs, func(i int, res scenario.Result) {
-		results[i] = res
-		done++
-		if o.Progress != nil {
-			o.Progress(done, len(cfgs))
-		}
-	})
+	results := scenario.DefaultEngine().Sweep(cfgs)
 	return reduceSpecs(o, specs, keys, results), nil
 }
 
