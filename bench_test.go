@@ -245,11 +245,30 @@ func BenchmarkExtensionMST(b *testing.B) { benchFigure(b, experiments.ExtensionM
 // figurePointConfigs is one full figure point: all 8 protocols × 4 seeds
 // at the paper baseline (5 m/s, 20 receivers), the unit of work the
 // sweep engine schedules when regenerating a figure. The 8 protocol runs
-// at each seed share one recorded mobility trace. The workload
-// definition lives in scenario so cmd/benchsnap's FigureSweep entries
-// measure exactly this benchmark.
-func figurePointConfigs(mob scenario.MobilityKind) []scenario.Config {
-	return scenario.FigurePointConfigs(mob, 1, 60)
+// at each seed share one recorded mobility trace. groups > 1 multiplexes
+// that many Zipf-popular groups over each node's radio; groups <= 1 is
+// the paper's single-group workload (Config.Groups stays zero).
+func figurePointConfigs(mob scenario.MobilityKind, groups int) []scenario.Config {
+	protocols := []scenario.ProtocolKind{
+		scenario.SSSPST, scenario.SSSPSTT, scenario.SSSPSTF, scenario.SSSPSTE,
+		scenario.SSMST, scenario.MAODV, scenario.ODMRP, scenario.Flood,
+	}
+	var cfgs []scenario.Config
+	for s := 0; s < 4; s++ {
+		for _, p := range protocols {
+			cfg := scenario.Default()
+			cfg.Protocol = p
+			cfg.Mobility = mob
+			cfg.VMax = 5
+			cfg.Duration = 60
+			if groups > 1 {
+				cfg.Groups = groups
+			}
+			cfg.Seed = scenario.ReplicationSeed(1, s)
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	return cfgs
 }
 
 // BenchmarkFigureSweep measures sweep-engine throughput on one figure
@@ -261,7 +280,7 @@ func BenchmarkFigureSweep(b *testing.B) {
 	defer e.Close()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Sweep(figurePointConfigs(scenario.RandomWaypoint))
+		e.Sweep(figurePointConfigs(scenario.RandomWaypoint, 1))
 	}
 	hits, misses := e.TraceStats()
 	b.Logf("trace cache: %d hits, %d misses", hits, misses)
@@ -275,7 +294,7 @@ func BenchmarkFigureSweepGM(b *testing.B) {
 	defer e.Close()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Sweep(figurePointConfigs(scenario.GaussMarkov))
+		e.Sweep(figurePointConfigs(scenario.GaussMarkov, 1))
 	}
 }
 
@@ -289,17 +308,17 @@ func BenchmarkFigureSweepGroups8(b *testing.B) {
 	defer e.Close()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Sweep(scenario.FigurePointConfigsGroups(scenario.RandomWaypoint, 1, 60, 8))
+		e.Sweep(figurePointConfigs(scenario.RandomWaypoint, 8))
 	}
 }
 
 // BenchmarkFigureSweepParallel runs the same point on a machine-wide
 // engine; the speedup over BenchmarkFigureSweep is the parallel-scaling
-// factor (meaningless when GOMAXPROCS=1 — benchsnap warns).
+// factor (meaningless when GOMAXPROCS=1).
 func BenchmarkFigureSweepParallel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		scenario.Sweep(figurePointConfigs(scenario.RandomWaypoint))
+		scenario.Sweep(figurePointConfigs(scenario.RandomWaypoint, 1))
 	}
 }
 

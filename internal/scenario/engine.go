@@ -440,43 +440,6 @@ func Sweep(cfgs []Config) []Result {
 	return DefaultEngine().Sweep(cfgs)
 }
 
-// FigurePointConfigs is the benchmark workload shared by bench_test.go's
-// BenchmarkFigureSweep* and cmd/benchsnap's FigureSweep entries: one full
-// figure point — all 8 protocols × 4 replications of base — at the paper
-// baseline (5 m/s, 20 receivers) under the given mobility model and
-// horizon. Keeping the single definition here guarantees the two
-// measurements of the same name time the same workload.
-func FigurePointConfigs(mob MobilityKind, base uint64, duration float64) []Config {
-	return FigurePointConfigsGroups(mob, base, duration, 1)
-}
-
-// FigurePointConfigsGroups is FigurePointConfigs with a concurrent-group
-// count: the same 8 × 4 point with every run multiplexing K Zipf-popular
-// groups over each node's radio. groups <= 1 is the single-group workload
-// byte-for-byte (Config.Groups stays zero there, so the configs — and the
-// engine's trace keys — match FigurePointConfigs exactly).
-func FigurePointConfigsGroups(mob MobilityKind, base uint64, duration float64, groups int) []Config {
-	protocols := []ProtocolKind{
-		SSSPST, SSSPSTT, SSSPSTF, SSSPSTE, SSMST, MAODV, ODMRP, Flood,
-	}
-	var cfgs []Config
-	for s := 0; s < 4; s++ {
-		for _, p := range protocols {
-			cfg := Default()
-			cfg.Protocol = p
-			cfg.Mobility = mob
-			cfg.VMax = 5
-			cfg.Duration = duration
-			if groups > 1 {
-				cfg.Groups = groups
-			}
-			cfg.Seed = ReplicationSeed(base, s)
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	return cfgs
-}
-
 // SweepN is Sweep with an explicit concurrency. The default width routes
 // to the shared engine; any other width runs on a transient engine with
 // its own trace cache, closed before returning — results are bit-identical
