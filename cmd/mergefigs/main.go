@@ -84,7 +84,7 @@ func run(paths []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: rebuilding plan: %w", paths[0], err)
 		}
-		results, nFailed, err := mergeResults(arts, paths, kind, plan.GridFingerprint(), plan.Jobs())
+		results, nFailed, err := mergeResults(arts, paths, kind, ps, plan.Jobs())
 		if err != nil {
 			return err
 		}
@@ -108,7 +108,7 @@ func run(paths []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: rebuilding grid: %w", paths[0], err)
 		}
-		results, nFailed, err := mergeResults(arts, paths, kind, shard.GridFingerprint("sweep", a, cfgs), cfgs)
+		results, nFailed, err := mergeResults(arts, paths, kind, a, cfgs)
 		if err != nil {
 			return err
 		}
@@ -124,11 +124,11 @@ func run(paths []string) error {
 	}
 }
 
-// mergeResults runs the shard-set validation against the rebuilt grid and
-// rehydrates one result per job, double-checking each record's config
-// fingerprint against the grid slot it claims.
-func mergeResults(arts []*shard.Artifact, paths []string, kind, gridFP string, cfgs []scenario.Config) ([]scenario.Result, int, error) {
-	records, err := shard.Merge(arts, paths, kind, gridFP, len(cfgs))
+// mergeResults runs the shard-set validation against the grid rebuilt
+// from meta and rehydrates one result per job, double-checking each
+// record's config fingerprint against the grid slot it claims.
+func mergeResults(arts []*shard.Artifact, paths []string, kind string, meta any, cfgs []scenario.Config) ([]scenario.Result, int, error) {
+	records, err := shard.Merge(arts, paths, kind, shard.GridFingerprint(kind, meta, cfgs), len(cfgs))
 	if err != nil {
 		return nil, 0, err
 	}

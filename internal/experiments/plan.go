@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/scenario"
-	"repro/internal/shard"
 )
 
 // PlanSpec is the serializable identity of a figure batch: everything
@@ -108,13 +107,6 @@ func (p *Plan) NumJobs() int { return len(p.cfgs) }
 // Jobs returns the grid's configs in grid order. The slice is shared;
 // callers must not mutate it.
 func (p *Plan) Jobs() []scenario.Config { return p.cfgs }
-
-// GridFingerprint digests the plan's identity and every job config; it
-// is what artifacts and journals produced from this plan carry, and what
-// merge/resume verify before trusting any record.
-func (p *Plan) GridFingerprint() string {
-	return shard.GridFingerprint("figures", p.spec, p.cfgs)
-}
 
 // Tables reduces one result per grid job (indexed like Jobs) into the
 // plan's figure tables — the same pooling, CI and ordering as a live

@@ -73,7 +73,7 @@ func TestPlanArtifactRoundTripByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan2.GridFingerprint() != plan.GridFingerprint() {
+	if shard.GridFingerprint("figures", ps2, plan2.Jobs()) != shard.GridFingerprint("figures", ps, plan.Jobs()) {
 		t.Fatal("PlanSpec JSON round-trip changed the grid fingerprint")
 	}
 

@@ -236,8 +236,7 @@ func (b *Batch) trapSignals(sharded bool, mu *sync.Mutex, journal *Journal, resu
 			fmt.Fprintf(os.Stderr, "\n%s: second signal, exiting immediately\n", b.Kind)
 			os.Exit(130)
 		}()
-		mu.Lock()
-		defer mu.Unlock()
+		mu.Lock() // held until exit: no result lands after the flush
 		n := 0
 		if journal != nil {
 			if err := journal.Flush(); err != nil {
