@@ -115,7 +115,7 @@ func main() {
 		for _, s := range strings.Split(*figs, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
-				fail(fmt.Errorf("unknown figure %q (valid: 7-21)", s))
+				fail(fmt.Errorf("unknown figure %q", s))
 			}
 			want = append(want, n)
 		}
